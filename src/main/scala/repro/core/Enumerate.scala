@@ -7,9 +7,11 @@ import repro.core.Tokens.{Tok, Cls}
   *
   * `patternsOf(v)` is P(v): every pattern consistent with value v under the
   * hierarchy — the cross-product of per-token generalization options, at two
-  * granularities (fine runs and merged alnum runs). `hypothesis(values)` is
-  * H(C) = ∩ P(v), the hypothesis space of a column (trivial ".*" excluded by
-  * construction — it is not in the language).
+  * granularities (fine runs and merged alnum runs) plus an alnum skeleton.
+  * `shapeOf(v)` is the same set in structural form, testing p ∈ P(v)
+  * without enumerating it. `hypothesis(values)` is H(C) = ∩ P(v), the
+  * hypothesis space of a column (trivial ".*" excluded by construction — it
+  * is not in the language).
   *
   * Values wider than `tau` tokens are not enumerated (paper §2.4: wide
   * columns are skipped at indexing and recovered via vertical cuts). If a
@@ -33,73 +35,124 @@ object Enumerate {
       acc.flatMap(prefix => o.map(prefix :+ _))
     }
 
-  private def enumerateToks(toks: Vector[Tok], cap: Int): Vector[Pat] = {
+  /** Per-token option sets of one granularity, as enumeration uses them:
+    * the first pruning level whose cross-product fits the cap; if even
+    * level 3 does not fit, the single fallback pattern (each token keeps its
+    * first option).
+    */
+  private def prunedOptions(toks: Vector[Tok], cap: Int): Vector[Vector[PTok]] = {
     var level = 0
     var opts = toks.map(t => Hierarchy.optionsPruned(t, level))
     while (productSize(opts) > cap && level < 3) {
       level += 1
       opts = toks.map(t => Hierarchy.optionsPruned(t, level))
     }
-    if (productSize(opts) > cap) Vector(Pat(opts.map(_.head)))
-    else cross(opts).map(Pat(_))
+    if (productSize(opts) > cap) opts.map(o => Vector(o.head)) else opts
   }
 
-  /** Alnum-skeleton enumeration: every digit/letter/merged run generalizes
-    * only to `<alnum>{n}` / `<alnum>+` (symbols stay literal). At most
-    * 2^tokens patterns, so it survives for every value under τ regardless of
-    * cap pruning — which is what keeps H(C) non-empty on hex-like columns
-    * whose values tokenize differently (all-digit octets vs mixed ones).
+  /** Alnum-skeleton options: every digit/letter/merged run generalizes only
+    * to `<alnum>{n}` / `<alnum>+` (symbols stay literal). At most 2^tokens
+    * patterns, so it survives for every value under τ regardless of cap
+    * pruning — which is what keeps H(C) non-empty on hex-like columns whose
+    * values tokenize differently (all-digit octets vs mixed ones).
     */
-  private def enumerateSkeleton(toks: Vector[Tok]): Vector[Pat] = {
-    val opts = toks.map { t =>
+  private def skeletonOptions(toks: Vector[Tok]): Vector[Vector[PTok]] =
+    toks.map { t =>
       t.cls match {
         case Cls.Symbol => Vector[PTok](ConstT(t.text))
         case _ => Vector[PTok](FixLen(GClass.Alnum, t.len), VarLen(GClass.Alnum))
       }
     }
-    cross(opts).map(Pat(_))
+
+  /** The granularities P(v) is built from, each as per-token option sets:
+    * fine, merged (only when it has an Alnum run) and the alnum skeleton,
+    * each only when its token count is within τ. P(v) is the union of their
+    * cross-products.
+    */
+  private def grainsOf(v: String, tau: Int, cap: Int): Vector[Vector[Vector[PTok]]] = {
+    if (v == null || v.isEmpty) return Vector.empty
+    val fine = Tokens.tokenize(v)
+    val merged = Tokens.tokenizeMerged(v)
+    val grains = Vector.newBuilder[Vector[Vector[PTok]]]
+    if (fine.length <= tau) grains += prunedOptions(fine, cap)
+    if (merged.length <= tau && merged.exists(_.cls == Cls.Alnum)) grains += prunedOptions(merged, cap)
+    if (merged.length <= tau) grains += skeletonOptions(merged)
+    grains.result()
   }
+
+  /** P(v) in structural form: `contains(p)` decides p ∈ P(v) in
+    * O(|p| · options) without enumerating P(v). A pattern is in P(v) iff
+    * some granularity has p's token count and each token of p lies in that
+    * position's option set — exactly the membership of the cross-products
+    * [[patternsOf]] enumerates.
+    */
+  final class Shape private[Enumerate] (grains: Array[Array[Array[PTok]]]) {
+    def contains(p: Pat): Boolean = {
+      val toks = p.toks
+      val n = toks.length
+      var g = 0
+      while (g < grains.length) {
+        val grain = grains(g)
+        if (grain.length == n) {
+          var i = 0
+          while (i < n && grain(i).contains(toks(i))) i += 1
+          if (i == n) return true
+        }
+        g += 1
+      }
+      false
+    }
+  }
+
+  /** Structural P(v); contains nothing for null/empty values and values
+    * wider than tau tokens at both granularities.
+    */
+  def shapeOf(v: String, tau: Int = DefaultTau, cap: Int = DefaultCap): Shape =
+    new Shape(grainsOf(v, tau, cap).map(_.map(_.toArray).toArray).toArray)
+
+  /** Every cross-product pattern of v's granularities, in enumeration order,
+    * duplicates included (granularities overlap).
+    */
+  private def enumerated(v: String, tau: Int, cap: Int): Vector[Pat] =
+    grainsOf(v, tau, cap).flatMap(cross).map(Pat(_))
 
   /** P(v): all patterns consistent with v (fine ∪ merged granularity ∪ the
     * alnum skeleton). Empty for null/empty values and values wider than tau
     * tokens at both granularities.
     */
   def patternsOf(v: String, tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[Pat] = {
-    if (v == null || v.isEmpty) return Vector.empty
-    val fine = Tokens.tokenize(v)
-    val merged = Tokens.tokenizeMerged(v)
-    val fromFine =
-      if (fine.length <= tau) enumerateToks(fine, cap) else Vector.empty
-    val fromMerged =
-      if (merged.length <= tau && merged.exists(_.cls == Cls.Alnum))
-        enumerateToks(merged, cap)
-      else Vector.empty
-    val skeleton =
-      if (merged.length <= tau) enumerateSkeleton(merged) else Vector.empty
-    val all = fromFine ++ fromMerged ++ skeleton
     val seen = collection.mutable.HashSet.empty[String]
-    all.filter(p => seen.add(p.key))
+    enumerated(v, tau, cap).filter(p => seen.add(p.key))
   }
 
   /** P(v) as a key-set (cheap set algebra for H(C) and indexing). */
   def patternKeysOf(v: String, tau: Int = DefaultTau, cap: Int = DefaultCap): Set[String] =
     patternsOf(v, tau, cap).map(_.key).toSet
 
-  /** H(C) = ∩_{v∈C} P(v), over distinct non-empty values. Empty result means
-    * the column has no single consistent pattern (heterogeneous values).
+  /** ∪ P(v) over `seeds`, each pattern once, in enumeration order. */
+  private[core] def patternsOfAll(seeds: Seq[String], tau: Int, cap: Int): Vector[Pat] = {
+    val seen = collection.mutable.HashSet.empty[Pat]
+    seeds.iterator.flatMap(enumerated(_, tau, cap)).filter(seen.add).toVector
+  }
+
+  /** H(C) = ∩_{v∈C} P(v), over distinct non-empty values, restricted to
+    * the patterns satisfying `keep`. Empty result means the column has no
+    * single consistent pattern (heterogeneous values).
+    *
+    * Only the first value's P(v) is enumerated; `keep` filters it, then
+    * every other value filters the live set through its [[Shape]].
     */
-  def hypothesis(values: Seq[String], tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[Pat] = {
+  def hypothesis(values: Seq[String], tau: Int = DefaultTau, cap: Int = DefaultCap,
+                 keep: Pat => Boolean = _ => true): Vector[Pat] = {
     val distinct = values.filter(v => v != null && v.nonEmpty).distinct
     if (distinct.isEmpty) return Vector.empty
-    // Intersect starting from the value with the fewest patterns.
-    val first = patternsOf(distinct.head, tau, cap)
-    var live: Map[String, Pat] = first.map(p => p.key -> p).toMap
+    var live = patternsOfAll(distinct.take(1), tau, cap).filter(keep)
     val it = distinct.iterator.drop(1)
     while (it.hasNext && live.nonEmpty) {
-      val keys = patternKeysOf(it.next(), tau, cap)
-      live = live.filter { case (k, _) => keys.contains(k) }
+      val shape = shapeOf(it.next(), tau, cap)
+      live = live.filter(shape.contains)
     }
-    live.values.toVector
+    live
   }
 
   /** Per-column pattern→match-count map used by the offline indexer:

@@ -41,8 +41,16 @@ final case class Solution(pat: Pat, fpr: Double, cov: Long)
   */
 object Fmdv {
 
+  /** Patterns `best` could never pick are dropped from the first value's
+    * P(v) before any shape test: most of P(v) is not in the index, and one
+    * lookup is cheaper than testing the pattern against every other value.
+    */
   def solve(values: Seq[String], index: PatternIndex, cfg: FmdvConfig = FmdvConfig()): Option[Solution] =
-    best(Enumerate.hypothesis(values, cfg.tau, cfg.cap), index, cfg)
+    best(Enumerate.hypothesis(values, cfg.tau, cfg.cap, keep = feasible(index, cfg)), index, cfg)
+
+  /** In the index, with FPR ≤ r and coverage ≥ m. */
+  private def feasible(index: PatternIndex, cfg: FmdvConfig)(p: Pat): Boolean =
+    index.lookup(p.key).exists(st => st.fpr <= cfg.r && st.cov >= cfg.m)
 
   /** Select the best feasible pattern among candidates. */
   def best(candidates: Seq[Pat], index: PatternIndex, cfg: FmdvConfig): Option[Solution] = {

@@ -30,14 +30,39 @@ object FmdvH {
     val n = vs.size // empty strings count toward |C| as non-conforming
     if (n == 0) return None
     val need = math.ceil((1 - cfg.theta) * n).toInt
-    val counts = Enumerate.columnPatternCounts(vs, cfg.tau, cfg.cap)
-    val candidates = counts.iterator
-      .filter { case (_, cnt) => cnt >= need }
-      .map { case (key, _) => Pattern.parse(key) }
-      .toVector
-    Fmdv.best(candidates, index, cfg).map { s =>
+    Fmdv.best(candidates(vs, need, cfg), index, cfg).map { s =>
       val matched = vs.count(v => s.pat.matches(v))
       HSolution(s.pat, s.fpr, n - matched, n)
+    }
+  }
+
+  /** The Eq. 13+16 candidate set: every p ∈ ∪_{v∈C} P(v) that lies in P(v)
+    * for at least `need` of the values (counted with multiplicity; empty
+    * values lie in no P(v)).
+    *
+    * The values whose P(v) misses such a p hold at most (non-empty − need)
+    * occurrences, so p lies in P(v) of one of the most frequent distinct
+    * values taken until their multiplicity exceeds that. Only those are
+    * enumerated; each candidate is counted over all values by [[Enumerate.Shape]].
+    */
+  private[core] def candidates(values: Seq[String], need: Int, cfg: FmdvConfig = FmdvConfig()): Vector[Pat] = {
+    val byValue = values.filter(v => v != null && v.nonEmpty)
+      .groupBy(identity).toVector
+      .map { case (v, occs) => (v, occs.size) }
+      .sortBy { case (v, mult) => (-mult, v) }
+    val slack = byValue.map(_._2).sum - need // occurrences a candidate may miss
+    if (slack < 0) return Vector.empty
+    val before = byValue.map(_._2).scanLeft(0)(_ + _) // occurrences ahead of each value
+    val seeds = byValue.indices.takeWhile(i => before(i) <= slack).map(i => byValue(i)._1)
+    val shapes = byValue.map { case (v, mult) => (Enumerate.shapeOf(v, cfg.tau, cfg.cap), mult) }
+    Enumerate.patternsOfAll(seeds, cfg.tau, cfg.cap).filter { p =>
+      var missed = 0
+      val it = shapes.iterator
+      while (missed <= slack && it.hasNext) {
+        val (shape, mult) = it.next()
+        if (!shape.contains(p)) missed += mult
+      }
+      missed <= slack
     }
   }
 

@@ -63,7 +63,14 @@ object Pattern {
   /** A pattern: a non-empty token sequence. */
   final case class Pat(toks: Vector[PTok]) {
     /** Canonical index key (parseable, stable across JVMs). */
-    lazy val key: String = toks.map(serializeTok).mkString(SEP.toString)
+    lazy val key: String = {
+      val sb = new java.lang.StringBuilder
+      toks.foreach { t =>
+        if (sb.length > 0) sb.append(SEP)
+        serializeTok(t, sb)
+      }
+      sb.toString
+    }
     /** Paper-style rendering. */
     def display: String = toks.map(_.display).mkString
     def specificity: Int = toks.map(_.specificity).sum
@@ -75,23 +82,58 @@ object Pattern {
     override def toString: String = display
   }
 
+  // Key format: tokens joined by SEP, each `C<text>`, `F<code><n>` or
+  // `V<code>`. Class codes sort like the class names (alnum < digit < letter
+  // < lower < upper), so keys order as they did with spelled-out names and
+  // the key tie-break of `Fmdv.best` is unchanged. Inside constant text, SEP
+  // and ESC are escaped as ESC ESC_SEP / ESC ESC, so any text round-trips.
   private val SEP = '\u0001'
-  private val FLD = '\u0002'
+  private val ESC = '\u0002'
+  private val ESC_SEP = '\u0003'
 
-  private def serializeTok(t: PTok): String = t match {
-    case ConstT(s)     => s"C$FLD$s"
-    case FixLen(c, n)  => s"F$FLD${c.name}$FLD$n"
-    case VarLen(c)     => s"V$FLD${c.name}"
+  private def code(c: GClass): Char = c match {
+    case GClass.Alnum  => 'a'
+    case GClass.Digit  => 'd'
+    case GClass.Letter => 'e'
+    case GClass.Lower  => 'o'
+    case GClass.Upper  => 'u'
   }
 
-  private def parseTok(s: String): PTok = {
-    val parts = s.split(FLD.toString, -1)
-    parts(0) match {
-      case "C" => ConstT(parts.drop(1).mkString(FLD.toString)) // text may be empty
-      case "F" => FixLen(GClass.byName(parts(1)), parts(2).toInt)
-      case "V" => VarLen(GClass.byName(parts(1)))
-      case x   => throw new IllegalArgumentException(s"bad token tag $x in '$s'")
-    }
+  private def classOf(code: Char): GClass =
+    GClass.all.find(c => this.code(c) == code).getOrElse(
+      throw new IllegalArgumentException(s"unknown class code $code"))
+
+  private def serializeTok(t: PTok, sb: java.lang.StringBuilder): Unit = t match {
+    case ConstT(s) =>
+      sb.append('C')
+      var i = 0
+      while (i < s.length) {
+        s.charAt(i) match {
+          case SEP => sb.append(ESC).append(ESC_SEP)
+          case ESC => sb.append(ESC).append(ESC)
+          case c   => sb.append(c)
+        }
+        i += 1
+      }
+    case FixLen(c, n) => sb.append('F').append(code(c)).append(n)
+    case VarLen(c)    => sb.append('V').append(code(c))
+  }
+
+  private def parseTok(s: String): PTok = s.headOption match {
+    case Some('C') =>
+      val sb = new StringBuilder
+      var i = 1
+      while (i < s.length) {
+        val c = s.charAt(i)
+        if (c == ESC && i + 1 < s.length) {
+          sb.append(if (s.charAt(i + 1) == ESC_SEP) SEP else ESC)
+          i += 2
+        } else { sb.append(c); i += 1 }
+      }
+      ConstT(sb.toString)
+    case Some('F') if s.length > 2 => FixLen(classOf(s.charAt(1)), s.substring(2).toInt)
+    case Some('V') if s.length == 2 => VarLen(classOf(s.charAt(1)))
+    case _ => throw new IllegalArgumentException(s"bad pattern token '$s'")
   }
 
   /** Parse a canonical `key` back into a pattern. */

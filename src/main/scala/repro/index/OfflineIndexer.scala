@@ -74,10 +74,10 @@ object OfflineIndexer {
 
   /** Collect an index DataFrame into the in-memory lookup structure. */
   def collectIndex(indexDf: DataFrame): PatternIndex = {
-    val m = indexDf.select("pattern", "fpr", "cov").collect().iterator.map { r =>
-      r.getString(0) -> PatternStats(r.getDouble(1), r.getLong(2))
-    }.toMap
-    new PatternIndex(m)
+    val rows = indexDf.select("pattern", "fpr", "cov").collect().toSeq.map { r =>
+      (r.getString(0), r.getDouble(1), r.getLong(2))
+    }
+    new PatternIndex(StatsTable(rows))
   }
 
   /** One-call convenience: scan corpus, aggregate, collect. */

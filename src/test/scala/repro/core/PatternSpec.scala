@@ -1,6 +1,6 @@
 package repro.core
 
-import org.scalacheck.Gen
+import org.scalacheck.{Arbitrary, Gen}
 import repro.{PropHelpers, SparkSpec}
 import repro.core.Pattern._
 
@@ -126,6 +126,47 @@ class PatternSpec extends SparkSpec with PropHelpers {
 
   test("property: tokenLengthOfKey equals tokenLength") {
     forSamples(genPat) { p => assert(Pattern.tokenLengthOfKey(p.key) == p.tokenLength) }
+  }
+
+  /** The spelled-out key format the compact keys replaced: fields split by
+    * \u0002, full class names.
+    */
+  private def spelledOutKey(p: Pat): String = p.toks.map {
+    case ConstT(s)    => s"C\u0002$s"
+    case FixLen(c, n) => s"F\u0002${c.name}\u0002$n"
+    case VarLen(c)    => s"V\u0002${c.name}"
+  }.mkString("\u0001")
+
+  // A small token alphabet, so generated pairs often share long prefixes.
+  private val genNearTok: Gen[PTok] = Gen.oneOf(
+    Gen.oneOf(GClass.all).flatMap(c => Gen.oneOf(1, 2, 10, 12).map(FixLen(c, _))),
+    Gen.oneOf(GClass.all).map(VarLen(_)),
+    Gen.oneOf("", "a", "ab", "b", "-", "--", "9", "é", " ").map(ConstT(_)))
+  private val genNearPat: Gen[Pat] = Gen.choose(1, 4).flatMap(Gen.listOfN(_, genNearTok)).map(ts => Pat(ts.toVector))
+
+  test("property: compact keys order like the spelled-out keys") {
+    forSamples(Gen.zip(genNearPat, genNearPat), 2000) { case (p, q) =>
+      assert(math.signum(p.key.compareTo(q.key)) == math.signum(spelledOutKey(p).compareTo(spelledOutKey(q))),
+        s"${p.display} vs ${q.display}")
+    }
+  }
+
+  private val genUnicodePat: Gen[Pat] = {
+    val text = Gen.listOf(Gen.frequency(1 -> Gen.oneOf('\u0001', '\u0002', '\u0003', 'C', 'F'),
+      3 -> Arbitrary.arbitrary[Char])).map(_.mkString)
+    val tok = Gen.frequency(2 -> text.map(ConstT(_)), 1 -> genTok)
+    Gen.choose(1, 6).flatMap(Gen.listOfN(_, tok)).map(ts => Pat(ts.toVector))
+  }
+
+  test("property: key/parse roundtrip and token count for any constant text") {
+    forSamples(genUnicodePat, 500) { p =>
+      assert(Pattern.parse(p.key) == p)
+      assert(Pattern.tokenLengthOfKey(p.key) == p.tokenLength)
+    }
+  }
+
+  test("keys are compact: one tag letter, one class letter") {
+    assert(pat(FixLen(GClass.Digit, 4), ConstT("/"), VarLen(GClass.Upper)).key == "Fd4\u0001C/\u0001Vu")
   }
 
   test("property: a generated witness string matches its pattern") {

@@ -118,4 +118,32 @@ class OfflineIndexerSpec extends SparkSpec {
     assert(head.map(_._1).contains(Pat(Vector(VarLen(GClass.Digit))).key))
     assert(head.size == 2)
   }
+
+  test("StatsTable behaves as the map it was built from") {
+    val r = new scala.util.Random(5)
+    val rows = (0 until 500).map(i => (s"k${r.nextInt(100000)}-$i", r.nextDouble(), r.nextInt(1000).toLong))
+    val table = StatsTable(r.shuffle(rows))
+    val map = rows.map { case (k, f, c) => k -> PatternStats(f, c) }.toMap
+    assert(table.size == 500)
+    assert(table == map && map == table)
+    for ((k, st) <- map) assert(table.get(k).contains(st) && table.contains(k))
+    assert(table.get("absent").isEmpty && !table.contains("absent"))
+    assert(table.keys.toVector == map.keys.toVector.sorted, "iteration follows key order")
+    assert(table.updated("new", PatternStats(0.5, 3)) == map.updated("new", PatternStats(0.5, 3)))
+    assert(table.removed(rows.head._1) == map.removed(rows.head._1))
+    assert(StatsTable(Nil).isEmpty && StatsTable(Nil).get("x").isEmpty)
+    intercept[IllegalArgumentException](StatsTable(Seq(("a", 0.0, 1L), ("a", 0.1, 2L))))
+  }
+
+  test("StatsTable survives Java serialization inside a PatternIndex") {
+    val idx = new PatternIndex(StatsTable(Seq(("b", 0.25, 7L), ("a", 0.0, 3L))))
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(idx)
+    out.close()
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[PatternIndex]
+    assert(back.entries == idx.entries)
+    assert(back.lookup("b").contains(PatternStats(0.25, 7L)))
+  }
 }
