@@ -155,11 +155,13 @@ object Enumerate {
     live
   }
 
-  /** Per-column pattern→match-count map used by the offline indexer:
-    * for each pattern p ∈ P(D), the number of values v ∈ D with p ∈ P(v).
-    * `values` should already be capped by the caller. Wide values (> tau
-    * tokens) contribute to no pattern but still count toward |D| (the caller
-    * divides by total value count to get impurity).
+  /** Per-column pattern→match-count map, the reference definition behind
+    * the offline indexer's evidence: for each pattern p ∈ P(D), the number
+    * of values v ∈ D with p ∈ P(v). `values` should already be capped by the
+    * caller. Wide values (> tau tokens) contribute to no pattern but still
+    * count toward |D| (the caller divides by total value count to get
+    * impurity). The indexer itself calls [[frequentPatternCounts]], which
+    * skips the patterns below its coverage threshold.
     */
   def columnPatternCounts(values: Seq[String], tau: Int = DefaultTau,
                           cap: Int = DefaultCap): collection.Map[String, Int] = {
@@ -173,20 +175,153 @@ object Enumerate {
     counts
   }
 
+  /** [[columnPatternCounts]] restricted to counts ≥ `minCount`, without
+    * enumerating the rare patterns: Algorithm 1's coverage threshold applied
+    * during enumeration, as Apriori-style support pruning.
+    *
+    * The distinct values' granularities are bucketed by token count n. For
+    * each n, a depth-first walk over token positions carries the values
+    * whose option sets contain the prefix so far, each with a bitmask of its
+    * still-live length-n granularities. A prefix is extended by an option
+    * only while the multiplicity-weighted count of live values is
+    * ≥ `minCount`, and a key is built only at a leaf. Exact: every prefix of
+    * p is live in every value counted by count(p), so no frequent pattern is
+    * cut; a value is counted once per prefix even when two of its
+    * granularities contain it.
+    */
+  def frequentPatternCounts(values: Seq[String], minCount: Int, tau: Int = DefaultTau,
+                            cap: Int = DefaultCap): collection.Map[String, Int] = {
+    val counts = collection.mutable.HashMap.empty[String, Int]
+    val byValue = values.filter(v => v != null && v.nonEmpty).groupBy(identity)
+    val need = math.max(1, minCount)
+    val ids = collection.mutable.HashMap.empty[PTok, Int]
+    val tokKeys = collection.mutable.ArrayBuffer.empty[String]
+    def id(t: PTok): Int = ids.getOrElseUpdate(t, { tokKeys += Pat(Vector(t)).key; tokKeys.size - 1 })
+    // token count n -> (multiplicity, the value's length-n granularities as option ids)
+    val rows = collection.mutable.HashMap.empty[Int, collection.mutable.ArrayBuffer[(Int, Array[Array[Array[Int]]])]]
+    for ((v, occs) <- byValue; (n, grains) <- grainsOf(v, tau, cap).groupBy(_.length))
+      rows.getOrElseUpdate(n, collection.mutable.ArrayBuffer.empty) +=
+        ((occs.size, grains.map(_.map(_.map(id).toArray).toArray).toArray))
+    val walk = new PrefixWalk(tokKeys.toArray, need, counts)
+    for ((n, rs) <- rows if rs.iterator.map(_._1).sum >= need)
+      walk.run(n, rs.map(_._1).toArray, rs.map(_._2).toArray)
+    counts
+  }
+
+  /** The prefix walk of [[frequentPatternCounts]], reusing its scratch
+    * arrays (indexed by option id) across token counts and tree nodes.
+    * Row r of a run has multiplicity `mult(r)` and granularities
+    * `grains(r)(g)(position)`, each an array of option ids.
+    */
+  private final class PrefixWalk(tokKeys: Array[String], need: Int,
+                                 out: collection.mutable.Map[String, Int]) {
+    private val weight = new Array[Int](tokKeys.length)
+    private val nodeOf = new Array[Long](tokKeys.length) // node whose weight(o) is current
+    private val rowOf = new Array[Long](tokKeys.length)  // (node, row) that last counted o
+    private var stamp = 0L
+    private var n = 0
+    private var mult: Array[Int] = _
+    private var grains: Array[Array[Array[Array[Int]]]] = _
+    private var path: Array[Int] = _
+    private val sb = new java.lang.StringBuilder
+
+    def run(n: Int, mult: Array[Int], grains: Array[Array[Array[Array[Int]]]]): Unit = {
+      this.n = n; this.mult = mult; this.grains = grains
+      path = new Array[Int](n)
+      extend(0, Array.tabulate(mult.length)(identity), grains.map(gs => (1 << gs.length) - 1), mult.length)
+    }
+
+    /** Extend the prefix `path(0 until d)`, live in rows `live(k)` with
+      * granularity masks `masks(k)` for k < size, by each frequent option.
+      */
+    private def extend(d: Int, live: Array[Int], masks: Array[Int], size: Int): Unit = {
+      stamp += 1
+      val node = stamp
+      val touched = collection.mutable.ArrayBuilder.make[Int]
+      var k = 0
+      while (k < size) {
+        val r = live(k)
+        val gs = grains(r)
+        stamp += 1
+        var g = 0
+        while (g < gs.length) {
+          if ((masks(k) & (1 << g)) != 0) {
+            val opts = gs(g)(d)
+            var j = 0
+            while (j < opts.length) {
+              val o = opts(j)
+              if (rowOf(o) != stamp) {
+                rowOf(o) = stamp
+                if (nodeOf(o) != node) { nodeOf(o) = node; weight(o) = 0; touched += o }
+                weight(o) += mult(r)
+              }
+              j += 1
+            }
+          }
+          g += 1
+        }
+        k += 1
+      }
+      val frequent = touched.result().filter(o => weight(o) >= need)
+      val support = frequent.map(weight(_))
+      var f = 0
+      while (f < frequent.length) {
+        val o = frequent(f)
+        path(d) = o
+        if (d == n - 1) emit(support(f))
+        else {
+          val childLive = new Array[Int](size)
+          val childMasks = new Array[Int](size)
+          var childSize = 0
+          k = 0
+          while (k < size) {
+            val gs = grains(live(k))
+            var m = 0
+            var g = 0
+            while (g < gs.length) {
+              if ((masks(k) & (1 << g)) != 0 && has(gs(g)(d), o)) m |= 1 << g
+              g += 1
+            }
+            if (m != 0) { childLive(childSize) = live(k); childMasks(childSize) = m; childSize += 1 }
+            k += 1
+          }
+          extend(d + 1, childLive, childMasks, childSize)
+        }
+        f += 1
+      }
+    }
+
+    private def has(opts: Array[Int], o: Int): Boolean = {
+      var j = 0
+      while (j < opts.length && opts(j) != o) j += 1
+      j < opts.length
+    }
+
+    private def emit(count: Int): Unit = {
+      sb.setLength(0)
+      var i = 0
+      while (i < n) {
+        if (i > 0) sb.append(Pattern.SEP)
+        sb.append(tokKeys(path(i)))
+        i += 1
+      }
+      out.update(sb.toString, count)
+    }
+  }
+
   /** Algorithm 1 (GeneratePatterns): coarse patterns with a coverage
     * threshold, then drill-down keeping fine patterns meeting the threshold.
     * Returns patterns covering at least `minCoverage` fraction of values —
-    * this is the profiling-style entry point (used by FMDV-H's greedy step
-    * and by profiling baselines).
+    * this is the profiling-style entry point (used by the Potter's Wheel and
+    * profiler baselines). Only the patterns meeting the threshold are
+    * enumerated ([[frequentPatternCounts]]).
     */
   def generatePatterns(values: Seq[String], minCoverage: Double,
                        tau: Int = DefaultTau, cap: Int = DefaultCap): Vector[(Pat, Int)] = {
     val vs = values.filter(v => v != null && v.nonEmpty)
     if (vs.isEmpty) return Vector.empty
     val need = math.ceil(minCoverage * vs.size).toInt
-    val counts = columnPatternCounts(vs, tau, cap)
-    counts.iterator
-      .filter(_._2 >= need)
+    frequentPatternCounts(vs, need, tau, cap).iterator
       .map { case (k, c) => (Pattern.parse(k), c) }
       .toVector
       .sortBy { case (p, c) => (-c, -p.specificity, p.key) }

@@ -87,7 +87,7 @@ object Pattern {
   // < lower < upper), so keys order as they did with spelled-out names and
   // the key tie-break of `Fmdv.best` is unchanged. Inside constant text, SEP
   // and ESC are escaped as ESC ESC_SEP / ESC ESC, so any text round-trips.
-  private val SEP = '\u0001'
+  private[core] val SEP = '\u0001'
   private val ESC = '\u0002'
   private val ESC_SEP = '\u0003'
 

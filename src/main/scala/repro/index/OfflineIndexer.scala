@@ -7,11 +7,12 @@ import repro.lake.LakeColumn
 
 /** Offline indexing stage (§2.4), as a Spark dataflow.
   *
-  * One full scan of the corpus T: for each column D, enumerate
-  * P(D) = ∪_{v∈D, t(v)≤τ} P(v) and the local impurity
-  * Imp_D(p) = |{v ∈ D : p ∉ P(v)}| / |D|; then a map/reduce aggregation per
-  * pattern computes FPR_T(p) = avg over matched columns of Imp_D(p)
-  * (Definition 3) and Cov_T(p) = number of matched columns.
+  * One full scan of the corpus T: for each column D, enumerate the patterns
+  * of P(D) = ∪_{v∈D, t(v)≤τ} P(v) that cover at least `minColCoverage` of
+  * D (Algorithm 1's threshold, applied during enumeration) and their local
+  * impurity Imp_D(p) = |{v ∈ D : p ∉ P(v)}| / |D|; then a map/reduce
+  * aggregation per pattern computes FPR_T(p) = avg over matched columns of
+  * Imp_D(p) (Definition 3) and Cov_T(p) = number of matched columns.
   *
   * The result is a small lookup table (pattern, fpr, cov) — the online stage
   * never rescans T.
@@ -46,17 +47,21 @@ object OfflineIndexer {
       minCov: Long = 2L,
       minColCoverage: Double = 0.1)
 
-  /** Per-column local evidence: one row per pattern in P(D). */
+  /** Per-column local evidence: one row (pattern, Imp_D) per pattern of
+    * P(D) covering at least `minColCoverage` of D's values. Patterns below
+    * that threshold are never enumerated: `Enumerate.frequentPatternCounts`
+    * prunes them by prefix support, so the map side builds keys only for
+    * the rows it emits.
+    */
   private[index] def localEvidence(values: Seq[String], cfg: IndexConfig): Seq[(String, Double)] = {
     val vs = values.iterator.filter(v => v != null && v.nonEmpty).take(cfg.maxValues).toVector
     if (vs.isEmpty) return Nil
     val enumerable = vs.count(v => repro.core.Tokens.effectiveTokenCount(v) <= cfg.tau)
     if (enumerable < cfg.minEnumerable * vs.size) return Nil
     val n = vs.size.toDouble
-    val minCnt = math.max(1.0, cfg.minColCoverage * n)
-    Enumerate.columnPatternCounts(vs, cfg.tau, cfg.capPerValue)
+    val minCount = math.ceil(math.max(1.0, cfg.minColCoverage * n)).toInt
+    Enumerate.frequentPatternCounts(vs, minCount, cfg.tau, cfg.capPerValue)
       .iterator
-      .filter { case (_, cnt) => cnt >= minCnt }
       .map { case (key, cnt) => (key, 1.0 - cnt / n) }.toSeq
   }
 

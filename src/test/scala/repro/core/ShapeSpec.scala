@@ -1,59 +1,15 @@
 package repro.core
 
-import org.scalacheck.{Arbitrary, Gen}
+import org.scalacheck.Gen
 import repro.{PropHelpers, SparkSpec, TestFixtures}
+import repro.core.EnumGens._
 import repro.core.Pattern._
-import repro.core.Tokens.Tok
-import repro.lake.Domains
-import scala.util.Random
 
 /** The structural membership test `Enumerate.shapeOf(v).contains(p)` against
   * enumerated P(v), and the solvers built on it against reference
   * implementations that enumerate P(v) for every value.
   */
 class ShapeSpec extends SparkSpec with PropHelpers {
-
-  // ------------------------------------------------------------ generators
-
-  private val genLakeValue: Gen[String] = for {
-    d <- Gen.oneOf(Domains.all)
-    seed <- Gen.choose(0, 100000)
-  } yield d.make(new Random(seed), 1).head
-
-  private val genUnicode: Gen[String] = {
-    val interesting = Gen.oneOf("09aZzé東Ω-/:. _\u0001\u0002\u0000\uD83D".toSeq)
-    val ch = Gen.frequency(3 -> interesting, 1 -> Arbitrary.arbitrary[Char])
-    Gen.choose(0, 14).flatMap(Gen.listOfN(_, ch)).map(_.mkString)
-  }
-
-  /** Many short runs of mixed classes, so the cross-products exceed small
-    * caps and enumeration climbs through the pruning levels.
-    */
-  private val genWide: Gen[String] = {
-    val run = Gen.oneOf(
-      Gen.choose(0, 999).map(_.toString),
-      Gen.oneOf("ab", "CD", "Ef", "x", "Q", "a1", "7b", "c3d4", "é9"))
-    val sep = Gen.oneOf("-", " ", "/", ":", "", "")
-    Gen.choose(1, 9).flatMap(n => Gen.listOfN(n, Gen.zip(run, sep)))
-      .map(_.map { case (r, s) => r + s }.mkString)
-  }
-
-  private val genValue: Gen[String] =
-    Gen.frequency(4 -> genLakeValue, 3 -> genUnicode, 3 -> genWide)
-
-  /** (tau, cap) settings: the defaults, and small ones that force pruning. */
-  private val genSettings: Gen[(Int, Int)] = Gen.frequency(
-    3 -> Gen.const((Enumerate.DefaultTau, Enumerate.DefaultCap)),
-    2 -> Gen.zip(Gen.oneOf(4, 8, 13), Gen.oneOf(1, 2, 3, 8, 64, 512)))
-
-  /** The pruning level enumeration settles on for a granularity, 4 = the
-    * level-3 fallback pattern (mirrors the enumeration's level loop).
-    */
-  private def levelOf(toks: Vector[Tok], cap: Int): Int = {
-    def size(level: Int): Long =
-      toks.foldLeft(1L)((acc, t) => math.min(Long.MaxValue / 2, acc * Hierarchy.optionsPruned(t, level).length))
-    (0 to 3).find(size(_) <= cap).getOrElse(4)
-  }
 
   // ------------------------------------------------------ membership test
 
@@ -62,12 +18,7 @@ class ShapeSpec extends SparkSpec with PropHelpers {
     var pairs = 0L
     var mismatches = Vector.empty[String]
     forSamples(Gen.zip(genValue, genValue, genSettings), 400) { case (u, v, (tau, cap)) =>
-      for (w <- Seq(u, v)) {
-        val fine = Tokens.tokenize(w)
-        val merged = Tokens.tokenizeMerged(w)
-        if (fine.nonEmpty && fine.length <= tau) levels += levelOf(fine, cap)
-        if (merged.exists(_.cls == Tokens.Cls.Alnum) && merged.length <= tau) levels += levelOf(merged, cap)
-      }
+      for (w <- Seq(u, v)) levels ++= levelsOf(w, tau, cap)
       val keys = Enumerate.patternKeysOf(v, tau, cap)
       val shape = Enumerate.shapeOf(v, tau, cap)
       val probes = Enumerate.patternsOf(u, tau, cap) ++ Enumerate.patternsOf(u) ++
@@ -101,19 +52,6 @@ class ShapeSpec extends SparkSpec with PropHelpers {
     else distinct.tail.foldLeft(Enumerate.patternKeysOf(distinct.head, tau, cap)) { (live, v) =>
       live.intersect(Enumerate.patternKeysOf(v, tau, cap))
     }
-  }
-
-  private val genColumn: Gen[Vector[String]] = for {
-    d1 <- Gen.oneOf(Domains.all)
-    d2 <- Gen.oneOf(Domains.all)
-    seed <- Gen.choose(0, 100000)
-    n <- Gen.choose(1, 30)
-    mixed <- Gen.choose(0, 3)
-    dirt <- Gen.listOfN(mixed, Gen.oneOf(genUnicode, Gen.const(""), Gen.const(null: String)))
-  } yield {
-    val r = new Random(seed)
-    val main = d1.make(r, n)
-    if (mixed == 3) main ++ d2.make(r, 2) else main ++ dirt
   }
 
   test("differential: hypothesis equals the intersection of enumerated P(v)") {

@@ -1,6 +1,6 @@
 package repro.index
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.core.{Enumerate, Pattern}
 import repro.core.Pattern._
 import repro.index.OfflineIndexer.IndexConfig
@@ -54,6 +54,35 @@ class OfflineIndexerSpec extends SparkSpec {
     val ev = OfflineIndexer.localEvidence(g, cfg).toMap
     assert(ev.keys.exists(k => Pattern.parse(k).display ==
       "<alnum>{8}-<alnum>{4}-<alnum>{4}-<alnum>{4}-<alnum>{12}"))
+  }
+
+  /** Local evidence by its definition: every pattern count of the capped
+    * column, then Algorithm 1's coverage filter.
+    */
+  private def referenceEvidence(values: Seq[String]): Map[String, Double] = {
+    val vs = values.iterator.filter(v => v != null && v.nonEmpty).take(cfg.maxValues).toVector
+    val enumerable = vs.count(v => repro.core.Tokens.effectiveTokenCount(v) <= cfg.tau)
+    if (vs.isEmpty || enumerable < cfg.minEnumerable * vs.size) return Map.empty
+    val n = vs.size.toDouble
+    val minCnt = math.max(1.0, cfg.minColCoverage * n)
+    Enumerate.columnPatternCounts(vs, cfg.tau, cfg.capPerValue)
+      .collect { case (key, cnt) if cnt >= minCnt => (key, 1.0 - cnt / n) }.toMap
+  }
+
+  test("localEvidence equals the count-then-filter definition on sampled T_E columns") {
+    val cols = new scala.util.Random(23).shuffle(TestFixtures.corpusEColumns).take(60)
+    var indexed = 0
+    for (c <- cols) {
+      val got = OfflineIndexer.localEvidence(c.values, cfg)
+      val want = referenceEvidence(c.values)
+      assert(got.size == got.map(_._1).distinct.size, s"${c.colId}: a pattern is emitted twice")
+      assert(got.map(_._1).toSet == want.keySet, s"${c.colId}: pattern sets differ")
+      for ((k, imp) <- got)
+        assert(java.lang.Double.doubleToRawLongBits(imp) == java.lang.Double.doubleToRawLongBits(want(k)),
+          s"${c.colId}: impurity of ${Pattern.parse(k).display} is $imp, not ${want(k)}")
+      if (want.nonEmpty) indexed += 1
+    }
+    assert(indexed >= 40, s"only $indexed of ${cols.size} sampled columns are indexed")
   }
 
   test("build: aggregation matches DuckDB (oracle)") {
